@@ -470,10 +470,15 @@ type engineBenchResult struct {
 // EvalMoves ns/move vs the per-move mutate + RecomputeFrom + undo path
 // on the same swap neighborhood.
 type engineReport struct {
-	Tool                 string              `json:"tool"`
-	GoOS                 string              `json:"goos"`
-	GoArch               string              `json:"goarch"`
-	GoMaxProcs           int                 `json:"gomaxprocs"`
+	Tool       string `json:"tool"`
+	GoOS       string `json:"goos"`
+	GoArch     string `json:"goarch"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	// Host fields: the CPU model ("" where /proc/cpuinfo is unavailable),
+	// the logical CPU count and the Go toolchain the rows were built with.
+	CPUModel             string              `json:"cpu_model"`
+	NumCPU               int                 `json:"num_cpu"`
+	GoVersion            string              `json:"go_version"`
 	Results              []engineBenchResult `json:"results"`
 	SpeedupEvalMovesN64  float64             `json:"speedup_evalmoves_vs_recompute_n64"`
 	SpeedupEvalMovesN256 float64             `json:"speedup_evalmoves_vs_recompute_n256"`
@@ -497,6 +502,39 @@ func swapNeighborhood(set *model.MulticastSet) []model.Move {
 		}
 	}
 	return moves
+}
+
+// relocateNeighborhood generates the heuristics' relocate scan: every
+// leaf appended under every other attached node except its own parent.
+func relocateNeighborhood(sch *model.Schedule) []model.Move {
+	n := len(sch.Set.Nodes)
+	var moves []model.Move
+	for v := 1; v < n; v++ {
+		if !sch.IsLeaf(v) {
+			continue
+		}
+		for p := 0; p < n; p++ {
+			if p == v || model.NodeID(p) == sch.Parent(v) {
+				continue
+			}
+			moves = append(moves, model.RelocateMove(v, p))
+		}
+	}
+	return moves
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func runEngineSuite(out string, cpus []int) error {
@@ -551,6 +589,39 @@ func runEngineSuite(out string, cpus []int) error {
 			}},
 		)
 	}
+	// The per-model rows: the same n=64 swap neighborhood and the
+	// relocate neighborhood scored under the pipeline model (M = 8, the
+	// segment count hnowd's sweeps use), where each re-walked position
+	// carries a row of per-segment times.
+	pipe := &model.PipelineModel{Segments: 8}
+	pset, err := heurSetN(64)
+	if err != nil {
+		return err
+	}
+	psch, err := heur.SlowestFirst{}.Schedule(pset)
+	if err != nil {
+		return err
+	}
+	psch.BindModel(pipe)
+	for _, nb := range []struct {
+		name  string
+		moves []model.Move
+	}{
+		{"engine_evalmoves_swapnbhd_pipe8_n64", swapNeighborhood(pset)},
+		{"engine_evalmoves_relocnbhd_pipe8_n64", relocateNeighborhood(psch)},
+	} {
+		moves := nb.moves
+		cases = append(cases, benchCase{name: nb.name, moves: len(moves), fn: func(b *testing.B) {
+			var eng model.Engine
+			eng.Attach(psch)
+			outRT := make([]int64, len(moves))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.EvalMoves(moves, outRT)
+			}
+		}})
+	}
 	hs, err := heurSet()
 	if err != nil {
 		return err
@@ -568,6 +639,22 @@ func runEngineSuite(out string, cpus []int) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (heur.Annealing{Seed: 5, Iters: 2000}).Schedule(hs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		benchCase{name: "local_search_pipe8_n64", fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (heur.LocalSearch{MaxRounds: 10, Model: pipe}).Schedule(hs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		benchCase{name: "annealing_pipe8_n64", fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (heur.Annealing{Seed: 5, Iters: 2000, Model: pipe}).Schedule(hs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -684,6 +771,9 @@ func runEngineSuite(out string, cpus []int) error {
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
 	}
 	nsPerMove := map[string]float64{}
 	spsOf := map[string]float64{}

@@ -41,16 +41,40 @@ type beamState struct {
 	sends     []int64        // transmissions scheduled per node
 	reception []int64        // r(v) for attached nodes
 	maxRecep  int64          // partial completion time
+	sumRecep  int64          // sum of reception, the secondary beam key
 }
 
-func (s *beamState) clone() *beamState {
+func newBeamState(n int) *beamState {
 	return &beamState{
-		parent:    append([]model.NodeID(nil), s.parent...),
-		rank:      append([]int64(nil), s.rank...),
-		sends:     append([]int64(nil), s.sends...),
-		reception: append([]int64(nil), s.reception...),
-		maxRecep:  s.maxRecep,
+		parent:    make([]model.NodeID, n),
+		rank:      make([]int64, n),
+		sends:     make([]int64, n),
+		reception: make([]int64, n),
 	}
+}
+
+// copyFrom overwrites s with o; both are sized for the same instance.
+func (s *beamState) copyFrom(o *beamState) {
+	copy(s.parent, o.parent)
+	copy(s.rank, o.rank)
+	copy(s.sends, o.sends)
+	copy(s.reception, o.reception)
+	s.maxRecep, s.sumRecep = o.maxRecep, o.sumRecep
+}
+
+// beamOption is one sender choice for the destination being inserted.
+type beamOption struct {
+	key  int64 // delivery completion of the new assignment
+	from model.NodeID
+}
+
+// less orders options by key, ties by sender id: a total order, so the
+// selected prefix is the same whichever way it is computed.
+func (o beamOption) less(p beamOption) bool {
+	if o.key != p.key {
+		return o.key < p.key
+	}
+	return o.from < p.from
 }
 
 // Schedule implements model.Scheduler.
@@ -76,28 +100,29 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	n := len(set.Nodes)
 	order := set.SortedDestinations()
 	L := set.Latency
-	init := &beamState{
-		parent:    make([]model.NodeID, n),
-		rank:      make([]int64, n),
-		sends:     make([]int64, n),
-		reception: make([]int64, n),
-	}
+	init := newBeamState(n)
 	for i := range init.parent {
 		init.parent[i] = -1
 	}
 	init.parent[0] = 0 // mark attached; the root's stored parent is unused
 	beam := []*beamState{init}
-	for _, pi := range order {
-		type cand struct {
-			state *beamState
-			key   int64 // delivery completion of the new assignment
-			from  model.NodeID
+	// Two recycled generations of width*branch states: each step expands
+	// the current beam into the spare pool, whose states belong to the
+	// generation before last and are no longer referenced.
+	pools := [2][]*beamState{make([]*beamState, width*branch), make([]*beamState, width*branch)}
+	for g := range pools {
+		for i := range pools[g] {
+			pools[g][i] = newBeamState(n)
 		}
-		var next []*beamState
+	}
+	options := make([]beamOption, 0, branch)
+	for step, pi := range order {
+		pool := pools[step%2]
+		next := pool[:0]
 		for _, st := range beam {
-			// Collect sender options: attached nodes by next delivery
-			// completion, keeping the `branch` earliest distinct keys.
-			var options []cand
+			// Sender options: the `branch` earliest next delivery
+			// completions over attached nodes, in (key, id) order.
+			options = options[:0]
 			for v := 0; v < n; v++ {
 				if st.parent[v] == -1 && v != 0 {
 					continue
@@ -106,24 +131,17 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 				if lat != nil {
 					lt = lat[v][pi]
 				}
-				key := st.reception[v] + (st.sends[v]+1)*set.Nodes[v].Send + lt
-				options = append(options, cand{state: st, key: key, from: model.NodeID(v)})
-			}
-			sort.Slice(options, func(i, j int) bool {
-				if options[i].key != options[j].key {
-					return options[i].key < options[j].key
-				}
-				return options[i].from < options[j].from
-			})
-			if len(options) > branch {
-				options = options[:branch]
+				op := beamOption{key: st.reception[v] + (st.sends[v]+1)*set.Nodes[v].Send + lt, from: model.NodeID(v)}
+				options = insertOption(options, op, branch)
 			}
 			for _, op := range options {
-				ns := op.state.clone()
+				ns := pool[len(next)]
+				ns.copyFrom(st)
 				ns.sends[op.from]++
 				ns.parent[pi] = op.from
 				ns.rank[pi] = ns.sends[op.from]
 				ns.reception[pi] = op.key + set.Nodes[pi].Recv
+				ns.sumRecep += ns.reception[pi]
 				if ns.reception[pi] > ns.maxRecep {
 					ns.maxRecep = ns.reception[pi]
 				}
@@ -137,7 +155,7 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 			if next[i].maxRecep != next[j].maxRecep {
 				return next[i].maxRecep < next[j].maxRecep
 			}
-			return sumInt64(next[i].reception) < sumInt64(next[j].reception)
+			return next[i].sumRecep < next[j].sumRecep
 		})
 		if len(next) > width {
 			next = next[:width]
@@ -225,12 +243,23 @@ func materialize(set *model.MulticastSet, st *beamState) (*model.Schedule, error
 	return sch, nil
 }
 
-func sumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
+// insertOption adds op to the ascending list ops, keeping at most k
+// entries.
+func insertOption(ops []beamOption, op beamOption, k int) []beamOption {
+	if len(ops) == k {
+		if !op.less(ops[k-1]) {
+			return ops
+		}
+		ops = ops[:k-1]
 	}
-	return s
+	i := len(ops)
+	ops = append(ops, op)
+	for i > 0 && op.less(ops[i-1]) {
+		ops[i] = ops[i-1]
+		i--
+	}
+	ops[i] = op
+	return ops
 }
 
 var _ model.Scheduler = BeamSearch{}

@@ -7,10 +7,12 @@ import "fmt"
 // references span: per-link WAN latencies, M-segment pipelined streaming,
 // and the reverse-tree collectives (reduce, barrier). A CostModel
 // evaluates a Schedule's shape into Times; the Engine scores move
-// neighborhoods against it (with an incremental fast path for the link
-// model, whose recurrence still factors through the per-layer maxima),
-// and each scenario package retains its own ad-hoc evaluator as the
-// bit-level parity oracle for the implementations here.
+// neighborhoods against it — incrementally, by subtree re-walk, under
+// the base, link and pipeline models, whose recurrences factor through
+// the per-layer maxima, and by clone-mutate-undo through EvalInto under
+// the reduce, barrier and node models — and each scenario package
+// retains its own ad-hoc evaluator as the bit-level parity oracle for
+// the implementations here.
 //
 // Implementations must be stateless after construction: one CostModel
 // value is shared across goroutines by sweeps and the service.
@@ -215,10 +217,10 @@ func (m PipelineModel) Validate(set *MulticastSet) error {
 	return nil
 }
 
-// EvalInto implements CostModel. The tree is processed in BFS order: a
-// node's whole op sequence recv(1), send(1, kids...), recv(2), ...
-// depends only on its own per-segment arrivals, which depend only on its
-// parent's sequence.
+// EvalInto implements CostModel. The tree is processed in BFS order:
+// each node's per-segment completion row (kernSegRow) depends only on its
+// own overheads, child count and rank and on its parent's row, so one
+// forward pass from the source's row derives every time.
 func (m PipelineModel) EvalInto(sch *Schedule, tm *Times) error {
 	if m.Segments < 1 {
 		return fmt.Errorf("model: pipeline segments must be >= 1, got %d", m.Segments)
@@ -233,45 +235,32 @@ func (m PipelineModel) EvalInto(sch *Schedule, tm *Times) error {
 		tm.Reception[i] = 0
 	}
 	tm.DT, tm.RT = 0, 0
-	// arrive[v*segs+m] is when segment m is fully delivered to v. The
-	// flat scratch lives in tm so engines reuse it across evaluations.
+	// rows[v*segs+s] is when v finished receiving segment s (for the
+	// source: when it starts sending segment s). The flat scratch lives
+	// in tm so repeated evaluations reuse it.
 	tm.aux = resizeInt64(tm.aux, n*segs)
-	arrive := tm.aux
+	rows := tm.aux
+	kernSegRoot(rows[:segs], int64(len(sch.children[0]))*set.Nodes[0].Send)
 	// BFS order reusing the stack scratch as a queue.
 	order := append(tm.stack[:0], 0)
-	for i := 0; i < len(order); i++ {
-		order = append(order, sch.children[order[i]]...)
-	}
 	L := set.Latency
-	for _, v := range order {
-		free := int64(0)
+	for i := 0; i < len(order); i++ {
+		v := order[i]
 		kids := sch.children[v]
+		order = append(order, kids...)
+		par := rows[int(v)*segs : int(v)*segs+segs]
 		sv := set.Nodes[v].Send
-		av := arrive[int(v)*segs:]
-		for seg := 0; seg < segs; seg++ {
-			if v != 0 {
-				start := free
-				if av[seg] > start {
-					start = av[seg]
-				}
-				free = start + set.Nodes[v].Recv
-				if seg == 0 {
-					tm.Delivery[v] = av[seg]
-				}
-				tm.Reception[v] = free
-			}
-			for _, c := range kids {
-				free += sv
-				arrive[int(c)*segs+seg] = free + L
-			}
-		}
-	}
-	for v := 1; v < n; v++ {
-		if tm.Delivery[v] > tm.DT {
-			tm.DT = tm.Delivery[v]
-		}
-		if tm.Reception[v] > tm.RT {
-			tm.RT = tm.Reception[v]
+		off := L
+		for _, c := range kids {
+			off += sv
+			row := rows[int(c)*segs : int(c)*segs+segs]
+			nc := &set.Nodes[c]
+			kernSegRow(row, par, off, int64(len(sch.children[c]))*nc.Send, nc.Recv)
+			d := par[0] + off
+			tm.Delivery[c] = d
+			tm.Reception[c] = row[segs-1]
+			tm.DT = max(tm.DT, d)
+			tm.RT = max(tm.RT, row[segs-1])
 		}
 	}
 	tm.stack = order[:0]

@@ -21,13 +21,23 @@ func randLinkModel(rng *rand.Rand, n int) *LinkModel {
 	return &LinkModel{Lat: lat}
 }
 
-// pickModel maps a fuzzer byte to a cost model over n nodes.
+// pipeSegments are the segment counts the fuzzer draws: the small ones
+// plus the 8 the service and the benchmark use, and 16.
+var pipeSegments = [...]int{1, 2, 3, 4, 5, 6, 8, 16}
+
+// pickModel maps a fuzzer byte to a cost model over n nodes. Pipeline
+// draws alternate between the value form and the pointer form the
+// service binds.
 func pickModel(rng *rand.Rand, sel byte, n int) CostModel {
 	switch sel % 5 {
 	case 0:
 		return randLinkModel(rng, n)
 	case 1:
-		return PipelineModel{Segments: 1 + int(sel/5)%6}
+		segs := pipeSegments[int(sel/5)%len(pipeSegments)]
+		if int(sel/5)/len(pipeSegments)%2 == 1 {
+			return &PipelineModel{Segments: segs}
+		}
+		return PipelineModel{Segments: segs}
 	case 2:
 		return ReduceModel{}
 	case 3:
@@ -63,6 +73,11 @@ func FuzzCostModelEngine(f *testing.F) {
 	f.Add(uint64(9), byte(3), []byte{2, 9, 9, 1, 1, 1, 0, 0, 0})
 	f.Add(uint64(23), byte(4), []byte{0, 2, 4, 1, 5, 1})
 	f.Add(uint64(5), byte(6), []byte{0, 1, 3, 0, 2, 6, 1, 4, 0})
+	// Pipeline at M = 8 and M = 16 (value and pointer forms) with
+	// relocates to the root (an operand byte of 0 selects target 0).
+	f.Add(uint64(12), byte(31), []byte{1, 2, 0, 1, 4, 0, 0, 1, 2, 1, 3, 0})
+	f.Add(uint64(19), byte(36), []byte{1, 5, 0, 0, 2, 3, 1, 1, 0, 1, 6, 0})
+	f.Add(uint64(30), byte(71), []byte{1, 3, 0, 1, 7, 0, 0, 4, 5, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, sel byte, ops []byte) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := 2 + int(seed%22)

@@ -49,6 +49,14 @@ func RelocateMove(leaf, target NodeID) Move {
 // of at most two spans per layer and the untouched remainder of each layer
 // is covered by the precomputed running maxima.
 //
+// Three cost models run on this incremental layout: the base model, the
+// link model (per-pair latencies gathered into the child fills) and the
+// pipeline model, whose positions additionally carry one row of M
+// per-segment completion times (see kernSegRow) so a re-walk re-derives
+// whole rows. The reduce, barrier and node models score by
+// clone-mutate-undo against CostModel.EvalInto on a private schedule
+// mirror.
+//
 // Usage: Attach builds (or rebuilds, reusing every buffer) the flat
 // mirror of a schedule; EvalMoves scores candidate moves against it
 // without mutating anything; after a move is actually applied to the
@@ -83,18 +91,45 @@ type Engine struct {
 	gen   uint32
 
 	// Cost-model dispatch, set by Attach from the schedule's bound model.
-	// The base model leaves all three zero; the link model sets lat and
-	// runs the incremental machinery with latency-aware child fills; any
-	// other model sets generic and scores through clone-mutate-undo
-	// against CostModel.EvalInto.
-	cm      CostModel
-	lat     [][]int64
-	generic bool
+	// The base model leaves kind zero; the link model sets lat and runs
+	// the incremental machinery with latency-aware child fills; the
+	// pipeline model sets segs and runs it with per-segment rows; any
+	// other model scores through clone-mutate-undo against
+	// CostModel.EvalInto.
+	kind engineKind
+	cm   CostModel
+	lat  [][]int64
+
+	// Pipeline path (kind == kindPipe). seg[j*segs+s] is B_j[s], the time
+	// position j finishes receiving segment s (for the root: starts
+	// sending it); the flat d/r arrays then carry the pipeline semantics
+	// (first-segment arrival, last-segment completion), so the layer
+	// aggregates serve the complement unchanged. newSeg holds Eval's
+	// candidate rows, valid where stamped. kids is each position's child
+	// count as the recurrence sees it, which evalRelocatePipe stages for
+	// the old parent and the target; skip is the vacated leaf position
+	// that the old parent's children re-walk passes over (0, the root's
+	// position, never occurs in a children span and means none).
+	segs   int
+	seg    []int64
+	newSeg []int64
+	kids   []int64
+	skip   int32
 
 	gSch  *Schedule // generic path: mutable mirror of the attached schedule
 	gTm   Times     // generic path: attached schedule's times under cm
 	gEvTm Times     // generic path: per-Eval scratch times
 }
+
+// engineKind selects the Engine's evaluation path for the bound model.
+type engineKind uint8
+
+const (
+	kindBase    engineKind = iota // base receive-send model
+	kindLink                      // LinkModel: per-pair latency gathers
+	kindPipe                      // PipelineModel: per-segment rows
+	kindGeneric                   // any other model: clone-mutate-undo
+)
 
 // Attach (re)builds the engine's flat mirror of sch, reusing all internal
 // buffers: after the first call at a given instance size it allocates
@@ -102,27 +137,33 @@ type Engine struct {
 // times, matching the ComputeTimes convention.
 //
 // Attach adopts the schedule's bound cost model (Schedule.BindModel): the
-// base model and the link model run the incremental structure-of-arrays
-// machinery (the link model's per-pair latency recurrence still factors
-// through the per-layer maxima), while the remaining models evaluate
-// through CostModel.EvalInto on an internal schedule mirror.
+// base, link and pipeline models run the incremental structure-of-arrays
+// machinery (the link model's per-pair latencies and the pipeline
+// model's per-segment rows still factor through the per-layer maxima),
+// while the reduce, barrier and node models evaluate through
+// CostModel.EvalInto on an internal schedule mirror.
 func (e *Engine) Attach(sch *Schedule) {
 	cm := sch.Model()
-	e.cm, e.lat, e.generic = cm, nil, false
+	set := sch.Set
+	n := len(set.Nodes)
+	e.cm, e.lat, e.kind = cm, nil, kindBase
 	if !IsBase(cm) {
-		if lm, ok := cm.(*LinkModel); ok {
-			e.lat = lm.Lat
-		} else {
+		switch m := cm.(type) {
+		case *LinkModel:
+			if len(m.Lat) != n {
+				panic(fmt.Sprintf("model: Attach: latency matrix sized for %d nodes, set has %d", len(m.Lat), n))
+			}
+			e.kind, e.lat = kindLink, m.Lat
+		case PipelineModel:
+			e.attachPipe(n, m.Segments)
+		case *PipelineModel:
+			e.attachPipe(n, m.Segments)
+		default:
 			e.attachGeneric(sch, cm)
 			return
 		}
 	}
-	set := sch.Set
-	n := len(set.Nodes)
 	e.set, e.sch = set, sch
-	if e.lat != nil && len(e.lat) != n {
-		panic(fmt.Sprintf("model: Attach: latency matrix sized for %d nodes, set has %d", len(e.lat), n))
-	}
 
 	e.treeShape.build(sch)
 	e.sendOf = resizeInt64(e.sendOf, n)
@@ -148,15 +189,39 @@ func (e *Engine) Attach(sch *Schedule) {
 	e.refreshAggregates(e.layers())
 }
 
+// attachPipe sizes the pipeline path's buffers for n nodes and M =
+// segs segments.
+func (e *Engine) attachPipe(n, segs int) {
+	if segs < 1 {
+		panic(fmt.Sprintf("model: Attach: pipeline segments must be >= 1, got %d", segs))
+	}
+	e.kind, e.segs = kindPipe, segs
+	e.seg = resizeInt64(e.seg, n*segs)
+	e.newSeg = resizeInt64(e.newSeg, n*segs)
+	e.kids = resizeInt64(e.kids, n)
+}
+
 // refreshTimes recomputes the flat delivery/reception arrays in position
 // order (parents precede children, so one forward pass suffices). The
 // per-parent work is one kernChildTimes call: a bounds-check-free
 // strength-reduced scan over contiguous children — no pointer chasing, no
 // per-node dispatch. Under the link model the fill gathers each child's
-// latency term from the parent occupant's matrix row instead.
+// latency term from the parent occupant's matrix row instead; under the
+// pipeline model each child's whole segment row derives from its
+// parent's.
 func (e *Engine) refreshTimes() {
 	e.d[0], e.r[0] = 0, 0
-	if e.lat != nil {
+	switch e.kind {
+	case kindPipe:
+		for i := 0; i < e.m; i++ {
+			e.kids[i] = int64(e.kidHi[i] - e.kidLo[i])
+		}
+		kernSegRoot(e.seg[:e.segs], e.kids[0]*e.sendOf[0])
+		for i := 0; i < e.m; i++ {
+			e.pipeFillKids(int32(i))
+		}
+		return
+	case kindLink:
 		for i := 0; i < e.m; i++ {
 			kl, kh := int(e.kidLo[i]), int(e.kidHi[i])
 			if kl == kh {
@@ -173,6 +238,29 @@ func (e *Engine) refreshTimes() {
 			continue
 		}
 		kernChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.r[i]+L, e.sendOf[i])
+	}
+}
+
+// pipeFillAt recomputes position q's committed segment row and times
+// from its parent's committed row.
+//
+//hnow:noalloc
+func (e *Engine) pipeFillAt(q int32) {
+	M := e.segs
+	p := e.parentPos[q]
+	off := e.rank[q]*e.sendOf[p] + e.set.Latency
+	par := e.seg[int(p)*M : int(p)*M+M]
+	row := e.seg[int(q)*M : int(q)*M+M]
+	kernSegRow(row, par, off, e.kids[q]*e.sendOf[q], e.recvOf[q])
+	e.d[q], e.r[q] = par[0]+off, row[M-1]
+}
+
+// pipeFillKids recomputes the committed rows and times of p's children.
+//
+//hnow:noalloc
+func (e *Engine) pipeFillKids(p int32) {
+	for j := e.kidLo[p]; j < e.kidHi[p]; j++ {
+		e.pipeFillAt(j)
 	}
 }
 
@@ -237,7 +325,7 @@ func (e *Engine) refreshCrossLayer(layers int) {
 //
 //hnow:noalloc
 func (e *Engine) CommitSwap(a, b NodeID) {
-	if e.generic {
+	if e.kind == kindGeneric {
 		e.commitSwapGeneric(a, b)
 		return
 	}
@@ -253,28 +341,24 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 	e.sendOf[qa], e.sendOf[qb] = e.sendOf[qb], e.sendOf[qa]
 	e.recvOf[qa], e.recvOf[qb] = e.recvOf[qb], e.recvOf[qa]
 
-	q1, q2 := qa, qb
-	if e.layerOf[q1] > e.layerOf[q2] {
-		q1, q2 = q2, q1
-	}
-	p := q2
-	for e.layerOf[p] > e.layerOf[q1] {
-		p = e.parentPos[p]
-	}
+	q1, q2, nested := e.nestOrder(qa, qb)
 	// Base model: delivery is position-determined, so only the reception
 	// changes at the swapped positions. Link model: the latency term
 	// depends on the new occupant, so the delivery re-derives too.
-	if e.lat != nil {
-		e.d[q1] = e.deliveryAt(q1)
+	// Pipeline model: the occupant's overheads reshape the whole row.
+	if e.kind != kindBase {
+		e.commitSeedExt(q1)
+	} else {
+		e.r[q1] = e.d[q1] + e.recvOf[q1]
 	}
-	e.r[q1] = e.d[q1] + e.recvOf[q1]
 	pend := int32(-1)
-	if p != q1 { // disjoint subtrees: q2's own seed re-derives the same way
+	if !nested { // disjoint subtrees: q2's own seed re-derives the same way
 		pend = q2
-		if e.lat != nil {
-			e.d[q2] = e.deliveryAt(q2)
+		if e.kind != kindBase {
+			e.commitSeedExt(q2)
+		} else {
+			e.r[q2] = e.d[q2] + e.recvOf[q2]
 		}
-		e.r[q2] = e.d[q2] + e.recvOf[q2]
 	}
 	l := int(e.layerOf[q1])
 	var lo, hi [2]int32
@@ -301,8 +385,12 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 				if kl == kh {
 					continue
 				}
-				if e.lat != nil {
-					wanChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.order[kl:kh], e.lat[e.order[p]], e.r[p], e.sendOf[p])
+				if e.kind != kindBase {
+					if e.kind == kindLink {
+						wanChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.order[kl:kh], e.lat[e.order[p]], e.r[p], e.sendOf[p])
+					} else {
+						e.pipeFillKids(p)
+					}
 				} else {
 					kernChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.r[p]+L, e.sendOf[p])
 				}
@@ -320,6 +408,32 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 	// Untouched layers kept their maxima; re-derive the cross-layer
 	// prefix/suffix aggregates and the completion times.
 	e.refreshCrossLayer(len(e.layerOff) - 1)
+}
+
+// commitSeedExt re-derives a swapped position's committed times under
+// the link or pipeline model (see CommitSwap).
+func (e *Engine) commitSeedExt(q int32) {
+	if e.kind == kindPipe {
+		e.pipeFillAt(q)
+		return
+	}
+	e.d[q] = e.deliveryAt(q)
+	e.r[q] = e.d[q] + e.recvOf[q]
+}
+
+// nestOrder orders two positions by layer (q1 the shallower) and reports
+// whether q1 is an ancestor of q2 or equal to it, i.e. whether one
+// subtree re-walk from q1 covers both.
+func (e *Engine) nestOrder(qa, qb int32) (q1, q2 int32, nested bool) {
+	q1, q2 = qa, qb
+	if e.layerOf[q1] > e.layerOf[q2] {
+		q1, q2 = q2, q1
+	}
+	p := q2
+	for e.layerOf[p] > e.layerOf[q1] {
+		p = e.parentPos[p]
+	}
+	return q1, q2, p == q1
 }
 
 // refreshLayerAggregates rebuilds one layer's running maxima from the
@@ -340,11 +454,12 @@ func (e *Engine) DT() int64 { return e.dt }
 func (e *Engine) RT() int64 { return e.rt }
 
 // TimesInto writes the attached schedule's times into tm in node index
-// order, exactly as ComputeTimesInto would produce them (unattached nodes
-// get zero times). It reuses tm's buffers and allocates nothing after
-// warmup.
+// order, exactly as the bound model's EvalInto would produce them
+// (unattached nodes get zero times; under the pipeline model Delivery is
+// the first-segment arrival and Reception the last-segment completion).
+// It reuses tm's buffers and allocates nothing after warmup.
 func (e *Engine) TimesInto(tm *Times) {
-	if e.generic {
+	if e.kind == kindGeneric {
 		n := len(e.set.Nodes)
 		tm.Delivery = resizeInt64(tm.Delivery, n)
 		tm.Reception = resizeInt64(tm.Reception, n)
@@ -398,8 +513,8 @@ func (e *Engine) EvalMoves(moves []Move, out []int64) {
 //
 //hnow:noalloc
 func (e *Engine) Eval(mv Move) (dt, rt int64) {
-	if e.generic {
-		return e.evalGeneric(mv)
+	if e.kind >= kindPipe {
+		return e.evalExt(mv)
 	}
 	switch mv.Kind {
 	case MoveSwap:
@@ -443,15 +558,7 @@ func (e *Engine) evalSwap(a, b NodeID) (int64, int64) {
 	if q1 < 0 || q2 < 0 {
 		panic(fmt.Sprintf("model: Eval: swap of unattached node (%d, %d)", a, b))
 	}
-	if e.layerOf[q1] > e.layerOf[q2] {
-		q1, q2 = q2, q1
-	}
-	// Nested iff q1 is an ancestor of q2.
-	p := q2
-	for e.layerOf[p] > e.layerOf[q1] {
-		p = e.parentPos[p]
-	}
-	nested := p == q1
+	q1, q2, nested := e.nestOrder(q1, q2)
 
 	// Stage the post-swap occupant overheads (and, under the link model,
 	// occupants — latency terms are occupant-dependent) in place.
@@ -502,17 +609,7 @@ func (e *Engine) evalSwap(a, b NodeID) (int64, int64) {
 // complement and its value at the new position is added separately once
 // the walk has fixed its new parent's reception.
 func (e *Engine) evalRelocate(leaf, target NodeID) (int64, int64) {
-	pl, pt := e.pos[leaf], e.pos[target]
-	if pl < 0 || pt < 0 || leaf == target {
-		panic(fmt.Sprintf("model: Eval: invalid relocate (%d -> %d)", leaf, target))
-	}
-	po := e.parentPos[pl]
-	if po < 0 {
-		panic(fmt.Sprintf("model: Eval: relocate of the root or an unattached node %d", leaf))
-	}
-	if e.kidLo[pl] != e.kidHi[pl] {
-		panic(fmt.Sprintf("model: Eval: relocate of non-leaf %d", leaf))
-	}
+	pl, po, pt := e.relocatePositions(leaf, target)
 	gen := e.nextGen()
 	// Seed the later siblings with their rank-shifted times; the vacated
 	// leaf position contributes nothing (and is childless, so the walk
@@ -561,6 +658,154 @@ func (e *Engine) evalRelocate(leaf, target NodeID) (int64, int64) {
 	}
 	rj := dd + e.recvOf[pl]
 	return max(dt, dd), max(rt, rj)
+}
+
+// evalExt is Eval for the models off the base/link path: the pipeline
+// model's incremental scorers and the generic clone-mutate-undo path.
+func (e *Engine) evalExt(mv Move) (int64, int64) {
+	if e.kind == kindGeneric {
+		return e.evalGeneric(mv)
+	}
+	switch mv.Kind {
+	case MoveSwap:
+		return e.evalSwapPipe(mv.A, mv.B)
+	case MoveRelocate:
+		return e.evalRelocatePipe(e.relocatePositions(mv.A, mv.B))
+	default:
+		panic(fmt.Sprintf("model: Eval: unknown move kind %d", mv.Kind))
+	}
+}
+
+// evalSwapPipe is evalSwap under the pipeline model. Positions keep
+// their parent, rank and child count, so exactly the two subtrees (one,
+// when nested) change; the swapped occupants' overheads are staged in
+// place as in evalSwap and each re-walked position gets a fresh row.
+//
+//hnow:noalloc
+func (e *Engine) evalSwapPipe(a, b NodeID) (int64, int64) {
+	if a == b {
+		return e.dt, e.rt
+	}
+	qa, qb := e.pos[a], e.pos[b]
+	if qa < 0 || qb < 0 {
+		panic(fmt.Sprintf("model: Eval: swap of unattached node (%d, %d)", a, b))
+	}
+	q1, q2, nested := e.nestOrder(qa, qb)
+	e.sendOf[q1], e.sendOf[q2] = e.sendOf[q2], e.sendOf[q1]
+	e.recvOf[q1], e.recvOf[q2] = e.recvOf[q2], e.recvOf[q1]
+	gen := e.nextGen()
+	movD, movR := e.pipeSeed(q1, gen, 0, 0)
+	pend := int32(-1)
+	if !nested {
+		pend = q2
+		movD, movR = e.pipeSeed(q2, gen, movD, movR)
+	}
+	dt, rt := e.walkSpans(q1, pend, gen, movD, movR)
+	e.sendOf[q1], e.sendOf[q2] = e.sendOf[q2], e.sendOf[q1]
+	e.recvOf[q1], e.recvOf[q2] = e.recvOf[q2], e.recvOf[q1]
+	return dt, rt
+}
+
+// evalRelocatePipe scores moving leaf position pl from its parent po to
+// the end of pt's children under the pipeline model. Unlike the base
+// model, the child counts of po (one fewer) and pt (one more) enter their
+// own rows from the second segment on, so the re-walk starts at po and
+// pt themselves and covers all their children, not just the later
+// siblings; those siblings also move one rank earlier (the skip of the
+// vacated position in pipeKidsCand). pt may be the root, po itself, or
+// anywhere inside po's subtree (or po inside pt's): one walk from the
+// shallower of the two covers both when nested. The leaf is then scored
+// as pt's new last child, with no children of its own.
+//
+//hnow:noalloc
+func (e *Engine) evalRelocatePipe(pl, po, pt int32) (int64, int64) {
+	e.kids[po]--
+	e.kids[pt]++
+	e.skip = pl
+	gen := e.nextGen()
+	q1, q2, nested := e.nestOrder(po, pt)
+	movD, movR := e.pipeSeed(q1, gen, 0, 0)
+	pend := int32(-1)
+	if !nested {
+		pend = q2
+		movD, movR = e.pipeSeed(q2, gen, movD, movR)
+	}
+	dt, rt := e.walkSpans(q1, pend, gen, movD, movR)
+	// The walk skipped the vacated position, so its scratch row is free
+	// to hold the leaf's row at the new slot.
+	M := e.segs
+	par := e.newSeg[int(pt)*M : int(pt)*M+M]
+	row := e.newSeg[int(pl)*M : int(pl)*M+M]
+	off := e.kids[pt]*e.sendOf[pt] + e.set.Latency
+	kernSegRow(row, par, off, 0, e.recvOf[pl])
+	dt, rt = max(dt, par[0]+off), max(rt, row[M-1])
+	e.kids[po]++
+	e.kids[pt]--
+	e.skip = 0
+	return dt, rt
+}
+
+// pipeSeed computes the candidate row of a re-walk root q from its
+// parent's committed row (the source's row when q is the root, whose own
+// times stay zero), stamps it and folds its times into the running
+// maxima.
+//
+//hnow:noalloc
+func (e *Engine) pipeSeed(q int32, gen uint32, movD, movR int64) (int64, int64) {
+	M := e.segs
+	row := e.newSeg[int(q)*M : int(q)*M+M]
+	e.stamp[q] = gen
+	p := e.parentPos[q]
+	if p < 0 {
+		kernSegRoot(row, e.kids[q]*e.sendOf[q])
+		return movD, movR
+	}
+	off := e.rank[q]*e.sendOf[p] + e.set.Latency
+	par := e.seg[int(p)*M : int(p)*M+M]
+	kernSegRow(row, par, off, e.kids[q]*e.sendOf[q], e.recvOf[q])
+	return max(movD, par[0]+off), max(movR, row[M-1])
+}
+
+// pipeKidsCand derives candidate rows for all of p's children from p's
+// stamped candidate row, skipping the vacated leaf of a relocate (its
+// later siblings thereby move one rank earlier), and folds their times
+// into the running maxima.
+//
+//hnow:noalloc
+func (e *Engine) pipeKidsCand(p int32, gen uint32, movD, movR int64) (int64, int64) {
+	M := e.segs
+	par := e.newSeg[int(p)*M : int(p)*M+M]
+	sp := e.sendOf[p]
+	off := e.set.Latency
+	for j := e.kidLo[p]; j < e.kidHi[p]; j++ {
+		if j == e.skip {
+			continue
+		}
+		off += sp
+		row := e.newSeg[int(j)*M : int(j)*M+M]
+		kernSegRow(row, par, off, e.kids[j]*e.sendOf[j], e.recvOf[j])
+		e.stamp[j] = gen
+		movD = max(movD, par[0]+off)
+		movR = max(movR, row[M-1])
+	}
+	return movD, movR
+}
+
+// relocatePositions validates a relocate's operands and returns the
+// positions of the leaf, its parent and the target.
+func (e *Engine) relocatePositions(leaf, target NodeID) (pl, po, pt int32) {
+	pl, pt = e.pos[leaf], e.pos[target]
+	if pl < 0 || pt < 0 || leaf == target {
+		panic(fmt.Sprintf("model: Eval: invalid relocate (%d -> %d)", leaf, target))
+	}
+	po = e.parentPos[pl]
+	if po < 0 {
+		panic(fmt.Sprintf("model: Eval: relocate of the root or an unattached node %d", leaf))
+	}
+	if e.kidLo[pl] != e.kidHi[pl] {
+		panic(fmt.Sprintf("model: Eval: relocate of non-leaf %d", leaf))
+	}
+	return pl, po, pt
 }
 
 // walkSpans is walkSpansBounds for a single-position top span.
@@ -622,8 +867,12 @@ func (e *Engine) walkSpansBounds(lo0, hi0, pend int32, gen uint32, movD, movR in
 				if kl == kh {
 					continue
 				}
-				if e.lat != nil {
-					movD, movR = wanChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], e.order[kl:kh], e.lat[e.order[p]], gen, e.newR[p], e.sendOf[p], movD, movR)
+				if e.kind != kindBase {
+					if e.kind == kindLink {
+						movD, movR = wanChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], e.order[kl:kh], e.lat[e.order[p]], gen, e.newR[p], e.sendOf[p], movD, movR)
+					} else {
+						movD, movR = e.pipeKidsCand(p, gen, movD, movR)
+					}
 				} else {
 					movD, movR = kernChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], gen, e.newR[p]+L, e.sendOf[p], movD, movR)
 				}
@@ -674,13 +923,13 @@ func resizeNodeID(s []NodeID, n int) []NodeID {
 }
 
 // attachGeneric is the Attach path for cost models without incremental
-// engine support (pipeline, reduce, barrier, node): the engine keeps a
-// private mutable mirror of the schedule and scores through
-// CostModel.EvalInto. The flat structure-of-arrays state is left stale and
-// must not be consulted while e.generic is set.
+// engine support (reduce, barrier, node): the engine keeps a private
+// mutable mirror of the schedule and scores through CostModel.EvalInto.
+// The flat structure-of-arrays state is left stale and must not be
+// consulted while kind is kindGeneric.
 func (e *Engine) attachGeneric(sch *Schedule, cm CostModel) {
 	e.set, e.sch = sch.Set, sch
-	e.cm, e.lat, e.generic = cm, nil, true
+	e.cm, e.lat, e.kind = cm, nil, kindGeneric
 	if e.gSch == nil || len(e.gSch.parent) != len(sch.parent) {
 		e.gSch = sch.Clone()
 	} else {

@@ -242,7 +242,8 @@ func TestEngineTracksAppliedMoves(t *testing.T) {
 // TestEngineSteadyStateAllocFree pins the satellite regression: repeated
 // Attach and whole-neighborhood EvalMoves on a warmed engine allocate
 // nothing, including across nearby instance sizes (the power-of-two
-// scratch growth).
+// scratch growth), and the same holds on the pipeline path for Attach,
+// EvalMoves over swaps and relocates, and CommitSwap.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	set := randIncrSet(rng, 48)
@@ -268,6 +269,25 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		eng.Attach(sch)
 	}); allocs != 0 {
 		t.Errorf("size-alternating Attach allocates %.1f per call pair", allocs)
+	}
+
+	// The pipeline path: per-segment rows live in the same reused
+	// buffers, and a committed swap re-walks in place.
+	pipe := sch.Clone()
+	pipe.BindModel(&PipelineModel{Segments: 8})
+	eng.Attach(pipe)
+	if allocs := testing.AllocsPerRun(20, func() { eng.Attach(pipe) }); allocs != 0 {
+		t.Errorf("pipeline Attach allocates %.1f per call after warmup", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { eng.EvalMoves(moves, out) }); allocs != 0 {
+		t.Errorf("pipeline EvalMoves (swaps and relocates) allocates %.1f per call after warmup", allocs)
+	}
+	a, b := NodeID(3), NodeID(17)
+	if allocs := testing.AllocsPerRun(20, func() {
+		eng.CommitSwap(a, b)
+		eng.CommitSwap(a, b)
+	}); allocs != 0 {
+		t.Errorf("pipeline CommitSwap allocates %.1f per call pair", allocs)
 	}
 }
 

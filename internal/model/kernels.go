@@ -134,3 +134,38 @@ func kernFill(row []int64, v int64) {
 		row[i] = v
 	}
 }
+
+// kernSegRow is the pipeline model's per-position segment recurrence:
+// given the parent's row par (par[s] is when the parent finished
+// receiving segment s, or for the root when it starts sending segment s)
+// and the child's offset off = rank*osend(parent) + L, it writes the
+// child's row
+//
+//	row[s] = max(row[s-1] + ksv, par[s] + off) + rc
+//
+// with row[-1] + ksv read as 0, where ksv is the child's own per-segment
+// send burst (child count times its osend) and rc its orecv. The child's
+// delivery is par[0] + off and its reception row[len-1]. PipelineModel
+// and the engine's pipeline path both evaluate through this one kernel.
+//
+//hnow:noalloc
+func kernSegRow(row, par []int64, off, ksv, rc int64) {
+	par = par[:len(row)]
+	free := int64(0)
+	for s := range row {
+		free = max(free, par[s]+off) + rc
+		row[s] = free
+		free += ksv
+	}
+}
+
+// kernSegRoot writes the root's pipeline row: the source holds every
+// segment at time 0, so it starts sending segment s once the s earlier
+// bursts of ksv are out.
+//
+//hnow:noalloc
+func kernSegRoot(row []int64, ksv int64) {
+	for s := range row {
+		row[s] = int64(s) * ksv
+	}
+}

@@ -483,3 +483,45 @@ func TestInsertChildIntoUnattachedParent(t *testing.T) {
 		t.Error("InsertChild accepted an unattached parent")
 	}
 }
+
+// TestRemoveLeafInsertChildAllocFree pins the in-place insert: a
+// RemoveLeaf + InsertChild round trip (the relocate commit and undo of
+// the searches) reuses the children list's capacity, at every index.
+func TestRemoveLeafInsertChildAllocFree(t *testing.T) {
+	s := figure1Set(t)
+	sch := NewSchedule(s)
+	for v := 1; v < len(s.Nodes); v++ {
+		sch.MustAddChild(0, v)
+	}
+	want := sch.Clone()
+	for v := 1; v < len(s.Nodes); v++ {
+		leaf := NodeID(v)
+		if allocs := testing.AllocsPerRun(20, func() {
+			p, i, err := sch.RemoveLeaf(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sch.InsertChild(p, leaf, i); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("round trip of node %d allocates %.1f", v, allocs)
+		}
+		if !sch.Equal(want) {
+			t.Fatalf("round trip of node %d changed the tree: %s, want %s", v, sch, want)
+		}
+	}
+	// A mid-list insert shifts the tail one rank later.
+	if _, _, err := sch.RemoveLeaf(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.InsertChild(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := sch.Children(0); got[1] != 3 || got[2] != 1 || got[3] != 4 {
+		t.Fatalf("children after mid insert = %v", got)
+	}
+	if err := sch.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -131,7 +131,13 @@ func (t *Schedule) InsertChild(parent, v NodeID, index int) error {
 	if index < 0 || index > len(kids) {
 		return fmt.Errorf("model: InsertChild: index %d outside [0,%d]", index, len(kids))
 	}
-	t.children[parent] = append(kids[:index], append([]NodeID{v}, kids[index:]...)...)
+	// Grow by one and shift the tail in place: after a RemoveLeaf the
+	// list still has the capacity, so an undo round trip allocates
+	// nothing.
+	kids = append(kids, 0)
+	copy(kids[index+1:], kids[index:])
+	kids[index] = v
+	t.children[parent] = kids
 	t.parent[v] = parent
 	return nil
 }
