@@ -24,7 +24,6 @@
 //	GET  /v1/fleet/ring   fleet membership + digest
 //	GET  /v1/fleet/table/{key}  raw .hnowtbl bytes for peers (404 = not held)
 //	POST /v1/fleet/table/{key}  build-and-stream for peers (owner path)
-//	POST /v1/fleet/fill/{key}   fill one delegated layer band (-fleet-fill)
 //	GET  /healthz         liveness + algorithm list
 //	GET  /debug/vars      expvar counters (cache, table, fleet, batch pool)
 //	GET  /debug/pprof/*   profiling endpoints (only with -pprof)
@@ -62,8 +61,6 @@ func main() {
 	self := flag.String("self", "", "fleet mode: this replica's advertised base URL (e.g. http://10.0.0.3:8080); \"\" = single-node")
 	peers := flag.String("peers", "", "fleet mode: comma-separated base URLs of every replica (self is added if absent)")
 	fleetTimeout := flag.Duration("fleet-timeout", 0, "per-peer request timeout for fleet fetches (0 = default 5s)")
-	fleetFill := flag.Bool("fleet-fill", false, "fleet mode: distribute large table fills across replicas as layer bands")
-	fleetFillMin := flag.Int64("fleet-fill-min-states", 0, "minimum DP state count before a fill is distributed (0 = default 16384)")
 	flag.Parse()
 
 	var peerList []string
@@ -79,22 +76,20 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		CacheSize:          *cacheSize,
-		CacheShards:        *cacheShards,
-		Workers:            *workers,
-		MaxJobs:            *maxJobs,
-		TableMemBytes:      *tableMem << 20,
-		TableWorkers:       *tableWorkers,
-		TableDir:           *tableDir,
-		SweepMaxTrials:     *sweepMaxTrials,
-		SweepMaxN:          *sweepMaxN,
-		SweepMaxK:          *sweepMaxK,
-		SweepMaxPerturbed:  *sweepMaxPerturbed,
-		Self:               *self,
-		Peers:              peerList,
-		FleetTimeout:       *fleetTimeout,
-		FleetFill:          *fleetFill,
-		FleetFillMinStates: *fleetFillMin,
+		CacheSize:         *cacheSize,
+		CacheShards:       *cacheShards,
+		Workers:           *workers,
+		MaxJobs:           *maxJobs,
+		TableMemBytes:     *tableMem << 20,
+		TableWorkers:      *tableWorkers,
+		TableDir:          *tableDir,
+		SweepMaxTrials:    *sweepMaxTrials,
+		SweepMaxN:         *sweepMaxN,
+		SweepMaxK:         *sweepMaxK,
+		SweepMaxPerturbed: *sweepMaxPerturbed,
+		Self:              *self,
+		Peers:             peerList,
+		FleetTimeout:      *fleetTimeout,
 	})
 	if *self != "" {
 		ring := svc.RingInfo()

@@ -99,6 +99,18 @@ func leWords[T int64 | uint64](b []byte) []T {
 	return out
 }
 
+// TableFileSize returns the exact length in bytes of the WriteTo image of
+// the network's full table: the 32+24k header plus 16 bytes (one value
+// word, one choice word) per stored state. Readers of untrusted table
+// bytes cap their reads with it. It fails on the same inputs New does.
+func TableFileSize(latency int64, types []Type, counts []int) (int64, error) {
+	dp, err := newGeometry(latency, types, counts)
+	if err != nil {
+		return 0, err
+	}
+	return int64(32+24*len(dp.types)) + 16*int64(len(dp.planeSrc))*dp.prod, nil
+}
+
 // WriteTo serializes the table in the versioned on-disk format described
 // above, implementing io.WriterTo. The table must be fully filled (every
 // table from BuildTable is); partially filled DPs are rejected rather than

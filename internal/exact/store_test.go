@@ -115,6 +115,63 @@ func TestTableRoundTripRandom(t *testing.T) {
 	}
 }
 
+// TestTableFileSize: the size peers cap their table reads at must equal
+// the WriteTo image byte for byte, with and without equal-Send plane
+// dedup and for unsorted type lists, and must fail exactly where New
+// fails.
+func TestTableFileSize(t *testing.T) {
+	type network struct {
+		latency int64
+		types   []Type
+		counts  []int
+	}
+	nets := []network{
+		// Five types over three distinct Sends: three stored planes.
+		{3, []Type{{Send: 2, Recv: 3}, {Send: 2, Recv: 5}, {Send: 3, Recv: 4}, {Send: 3, Recv: 9}, {Send: 5, Recv: 6}}, []int{2, 2, 1, 2, 1}},
+		{2, []Type{{Send: 4, Recv: 5}, {Send: 1, Recv: 2}}, []int{3, 0}},
+		{1, []Type{{Send: 1, Recv: 1}}, []int{0}},
+	}
+	rng := rand.New(rand.NewSource(91017))
+	for trial := 0; trial < 8; trial++ {
+		inst, err := Analyze(randTypedSet(rng, 2+rng.Intn(8), 1+rng.Intn(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, network{inst.Set.Latency, inst.Types, inst.Counts})
+	}
+	for _, nw := range nets {
+		dp, err := New(nw.latency, nw.types, nw.counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.FillAll()
+		var buf bytes.Buffer
+		if _, err := (&Table{dp: dp}).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		size, err := TableFileSize(nw.latency, nw.types, nw.counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != int64(buf.Len()) {
+			t.Errorf("TableFileSize(%d, %v, %v) = %d, WriteTo wrote %d bytes (planes=%d)",
+				nw.latency, nw.types, nw.counts, size, buf.Len(), dp.Planes())
+		}
+	}
+	for _, bad := range []network{
+		{0, []Type{{Send: 1, Recv: 1}}, []int{3}},
+		{1, []Type{{Send: 1, Recv: 1}, {Send: 1, Recv: 1}}, []int{1, 1}},
+		{1, []Type{{Send: 1, Recv: 1}, {Send: 2, Recv: 1}}, []int{1 << 13, 1 << 13}},
+	} {
+		_, sizeErr := TableFileSize(bad.latency, bad.types, bad.counts)
+		_, newErr := New(bad.latency, bad.types, bad.counts)
+		if sizeErr == nil || newErr == nil {
+			t.Errorf("TableFileSize(%d, %v, %v) err=%v, New err=%v; want both to fail",
+				bad.latency, bad.types, bad.counts, sizeErr, newErr)
+		}
+	}
+}
+
 // TestPlaneDedupSharesEqualSendPlanes pins down the dedup itself: on a
 // network with equal-Send type runs the DP must store fewer planes than
 // types, and every deduplicated lookup must agree with the non-dedup'd

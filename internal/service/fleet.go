@@ -12,11 +12,11 @@ package service
 //     copy, then cache-fills: it asks the owner to build-and-stream the
 //     raw .hnowtbl bytes (POST /v1/fleet/table/{key}), re-validates them
 //     through the exact store's checksum + choice-array validation
-//     (peers are untrusted by construction: a corrupt or truncated body
-//     is rejected with exact.ErrBadTable and counted in peer_errors),
-//     and inserts the table into its own byte-budgeted LRU and spill dir
-//     — single-flighted per key on the same tableFlight map the local
-//     load/build paths use.
+//     (peers are untrusted by construction: a corrupt, truncated or
+//     overlong body is rejected with exact.ErrBadTable and counted in
+//     peer_errors), and inserts the table into its own byte-budgeted
+//     LRU and spill dir — single-flighted per key on the same
+//     tableFlight map the local load/build paths use.
 //   - /v1/compare with "optimal" on a non-owner consults the ring before
 //     any local cold DP solve: it tries a pure peer fetch
 //     (GET /v1/fleet/table/{key}) and, when the owner has no table
@@ -96,19 +96,6 @@ type FleetStats struct {
 	// PeerErrors counts failed peer interactions: transport errors after
 	// retries, unexpected statuses, and corrupt/truncated table bytes.
 	PeerErrors int64 `json:"peer_errors"`
-	// FillBuilds counts distributed band-chain builds this replica ran as
-	// owner (Config.FleetFill; builds under the size threshold or with no
-	// peers stay plain local fills and are not counted here).
-	FillBuilds int64 `json:"fill_builds"`
-	// FillBandsLocal / FillBandsRemote count the layer bands of those
-	// builds filled by this replica vs. successfully delegated to peers;
-	// FillBandsServed counts bands this replica filled for other owners.
-	FillBandsLocal  int64 `json:"fill_bands_local"`
-	FillBandsRemote int64 `json:"fill_bands_remote"`
-	FillBandsServed int64 `json:"fill_bands_served"`
-	// FillBandErrors counts delegated bands that came back broken or not
-	// at all — each one degraded to a local band fill.
-	FillBandErrors int64 `json:"fill_band_errors"`
 }
 
 // fleetState is the per-server fleet runtime: the membership ring, the
@@ -122,17 +109,11 @@ type fleetState struct {
 	brkCooldown  time.Duration
 	client       *http.Client
 
-	// fillMinStates is the DP size below which a fleet-fill owner skips
-	// the band protocol and fills locally.
-	fillMinStates int64
-
 	mu       sync.RWMutex
 	ring     *fleet.Ring
 	breakers map[string]*fleet.Breaker
 
 	ownerHits, peerFetches, forwards, fallbackBuilds, peerErrors atomic.Int64
-
-	fillBuilds, fillBandsLocal, fillBandsRemote, fillBandsServed, fillBandErrors atomic.Int64
 }
 
 const (
@@ -143,18 +124,14 @@ const (
 
 func newFleetState(cfg Config) *fleetState {
 	f := &fleetState{
-		self:          fleet.Normalize(cfg.Self),
-		timeout:       cfg.FleetTimeout,
-		buildTimeout:  cfg.FleetBuildTimeout,
-		retries:       cfg.FleetRetries,
-		brkThreshold:  cfg.FleetBreakerThreshold,
-		brkCooldown:   cfg.FleetBreakerCooldown,
-		fillMinStates: cfg.FleetFillMinStates,
-		breakers:      map[string]*fleet.Breaker{},
-		client:        &http.Client{},
-	}
-	if f.fillMinStates <= 0 {
-		f.fillMinStates = defaultFleetFillMinStates
+		self:         fleet.Normalize(cfg.Self),
+		timeout:      cfg.FleetTimeout,
+		buildTimeout: cfg.FleetBuildTimeout,
+		retries:      cfg.FleetRetries,
+		brkThreshold: cfg.FleetBreakerThreshold,
+		brkCooldown:  cfg.FleetBreakerCooldown,
+		breakers:     map[string]*fleet.Breaker{},
+		client:       &http.Client{},
 	}
 	if f.timeout <= 0 {
 		f.timeout = defaultFleetTimeout
@@ -277,9 +254,19 @@ func fleetTablePath(owner, key string) string {
 	return owner + "/v1/fleet/table/" + url.PathEscape(key)
 }
 
+// readPeerTable reads a peer's table body, at most one byte past size,
+// the exact .hnowtbl length the key's geometry implies (see
+// exact.TableFileSize). An overlong or endless body thus costs size+1
+// bytes and comes back one byte too long, which validatePeerTable
+// rejects as exact.ErrBadTable like any other malformed peer bytes.
+func readPeerTable(body io.Reader, size int64) ([]byte, error) {
+	return io.ReadAll(io.LimitReader(body, size+1))
+}
+
 // fetchTableBytes GETs the owner's spilled table bytes for key without
-// forcing a build. found is false when the owner answered 404.
-func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string) (data []byte, found bool, err error) {
+// forcing a build, reading at most size+1 bytes (readPeerTable). found is
+// false when the owner answered 404.
+func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string, size int64) (data []byte, found bool, err error) {
 	err = f.doPeer(owner, func() error {
 		ctx, cancel := context.WithTimeout(ctx, f.timeout)
 		defer cancel()
@@ -298,7 +285,7 @@ func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string) (da
 		if resp.StatusCode/100 != 2 {
 			return fmt.Errorf("GET fleet table: HTTP %d", resp.StatusCode)
 		}
-		data, err = io.ReadAll(resp.Body)
+		data, err = readPeerTable(resp.Body, size)
 		found = err == nil
 		return err
 	})
@@ -311,9 +298,9 @@ func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string) (da
 // buildFetchBytes POSTs a build-and-stream request to the owner: the
 // owner materializes the table through its normal getOrBuild path (cache,
 // spill, or a fresh fill — single-flighted owner-side) and streams the
-// raw .hnowtbl bytes back. A 422 from the owner surfaces as
-// *peerRejectedError.
-func (f *fleetState) buildFetchBytes(ctx context.Context, owner, key string, body []byte) (data []byte, err error) {
+// raw .hnowtbl bytes back, of which at most size+1 are read
+// (readPeerTable). A 422 from the owner surfaces as *peerRejectedError.
+func (f *fleetState) buildFetchBytes(ctx context.Context, owner, key string, body []byte, size int64) (data []byte, err error) {
 	err = f.doPeer(owner, func() error {
 		ctx, cancel := context.WithTimeout(ctx, f.buildTimeout)
 		defer cancel()
@@ -338,7 +325,7 @@ func (f *fleetState) buildFetchBytes(ctx context.Context, owner, key string, bod
 		if resp.StatusCode/100 != 2 {
 			return fmt.Errorf("POST fleet table: HTTP %d", resp.StatusCode)
 		}
-		data, err = io.ReadAll(resp.Body)
+		data, err = readPeerTable(resp.Body, size)
 		return err
 	})
 	return data, err
@@ -427,16 +414,11 @@ func (s *Server) FleetStats() FleetStats {
 		return FleetStats{}
 	}
 	return FleetStats{
-		OwnerHits:       s.fleet.ownerHits.Load(),
-		PeerFetches:     s.fleet.peerFetches.Load(),
-		Forwards:        s.fleet.forwards.Load(),
-		FallbackBuilds:  s.fleet.fallbackBuilds.Load(),
-		PeerErrors:      s.fleet.peerErrors.Load(),
-		FillBuilds:      s.fleet.fillBuilds.Load(),
-		FillBandsLocal:  s.fleet.fillBandsLocal.Load(),
-		FillBandsRemote: s.fleet.fillBandsRemote.Load(),
-		FillBandsServed: s.fleet.fillBandsServed.Load(),
-		FillBandErrors:  s.fleet.fillBandErrors.Load(),
+		OwnerHits:      s.fleet.ownerHits.Load(),
+		PeerFetches:    s.fleet.peerFetches.Load(),
+		Forwards:       s.fleet.forwards.Load(),
+		FallbackBuilds: s.fleet.fallbackBuilds.Load(),
+		PeerErrors:     s.fleet.peerErrors.Load(),
 	}
 }
 
@@ -558,13 +540,20 @@ func (s *Server) validatePeerTable(owner, key string, data []byte) (*exact.Table
 // re-validation, then — only if the owner is unreachable or served
 // garbage — a local fallback build.
 func (s *Server) serveFleetTable(w http.ResponseWriter, r *http.Request, owner, key string, inst *exact.Instance, workers int, req TableRequest) {
+	size, err := exact.TableFileSize(inst.Set.Latency, inst.Types, inst.Counts)
+	if err != nil {
+		// No replica can build this network (e.g. the state space is over
+		// the build guard); answer as the owner or a local build would.
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	fetch := func() (*exact.Table, error) {
-		data, err := s.fleet.buildFetchBytes(r.Context(), owner, key, body)
+		data, err := s.fleet.buildFetchBytes(r.Context(), owner, key, body, size)
 		if err != nil {
 			return nil, err
 		}
@@ -612,13 +601,17 @@ const (
 	fleetUnreachable                     // owner down or serving garbage
 )
 
-// fleetOptimal tries to answer canon's exact optimum from the owner's
-// table without forcing a build: GET the bytes, ingest (validated, LRU,
-// spill, index), look up. Used by /v1/compare's optimal path so
-// non-owners never duplicate a cold solve the owner could serve.
-func (s *Server) fleetOptimal(ctx context.Context, owner, key string, canon *model.MulticastSet) (int64, fleetOutcome) {
+// fleetOptimal tries to answer the analyzed canonical set's exact optimum
+// from the owner's table without forcing a build: GET the bytes, ingest
+// (validated, LRU, spill, index), look up. Used by /v1/compare's optimal
+// path so non-owners never duplicate a cold solve the owner could serve.
+func (s *Server) fleetOptimal(ctx context.Context, owner, key string, inst *exact.Instance) (int64, fleetOutcome) {
+	size, err := exact.TableFileSize(inst.Set.Latency, inst.Types, inst.Counts)
+	if err != nil {
+		return 0, fleetMiss // no replica holds a table for this network
+	}
 	fetch := func() (*exact.Table, error) {
-		data, found, err := s.fleet.fetchTableBytes(ctx, owner, key)
+		data, found, err := s.fleet.fetchTableBytes(ctx, owner, key, size)
 		if err != nil {
 			return nil, err
 		}
@@ -638,7 +631,7 @@ func (s *Server) fleetOptimal(ctx context.Context, owner, key string, canon *mod
 	if source == TableCachePeer {
 		s.fleet.peerFetch()
 	}
-	if rt, ok := t.LookupSet(canon); ok {
+	if rt, ok := t.LookupSet(inst.Set); ok {
 		return rt, fleetFound
 	}
 	return 0, fleetMiss

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +121,27 @@ func TestFleetSingleBuildPerKey(t *testing.T) {
 	f := startFleet(t, 3, nil)
 	set := fleetSet(t, 42)
 	owner := f.ownerIndex(t, set)
+
+	// The layer-band fill route is gone: a POST to it on any replica is
+	// refused by the router, and no table build or optimal solve runs.
+	key, err := NetworkKey(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range f.urls {
+		resp, err := http.Post(u+"/v1/fleet/fill/"+url.PathEscape(key)+"?hi=4", "application/octet-stream",
+			bytes.NewReader([]byte("HNOWBND\x00 prefix band")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("replica %d: POST /v1/fleet/fill/{key} answered HTTP %d, want 404 or 405", i, resp.StatusCode)
+		}
+		if b, o := f.svcs[i].TableBuilds(), f.svcs[i].OptSolves(); b != 0 || o != 0 {
+			t.Errorf("replica %d ran %d table builds and %d optimal solves off the fill route", i, b, o)
+		}
+	}
 
 	// Warm through the owner first so ownership is exercised, then the
 	// two non-owners.
@@ -289,6 +313,108 @@ func TestFleetCorruptPeerTableRejected(t *testing.T) {
 	// And the validation error class is the typed one.
 	if _, err := exact.ReadTableBytes([]byte("HNOWTBL\x00 definitely not a table")); !errors.Is(err, exact.ErrBadTable) {
 		t.Errorf("corrupt bytes should fail with ErrBadTable, got %v", err)
+	}
+}
+
+// TestFleetOversizedPeerTableRejected: peer table reads stop one byte
+// past the exact .hnowtbl size the key's geometry implies. A valid table
+// followed by trailing bytes, or a body that never ends, is rejected as
+// bad peer bytes (peer_errors, breaker charged) and both the compare
+// lookup (GET) and the table warm (POST) fall back to local computation
+// after exactly one peer request each — no read to the timeout, no retry.
+func TestFleetOversizedPeerTableRejected(t *testing.T) {
+	for _, endless := range []bool{false, true} {
+		name := "trailing"
+		if endless {
+			name = "endless"
+		}
+		t.Run(name, func(t *testing.T) {
+			var tbl []byte
+			var hits atomic.Int64
+			serve := func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				w.Header().Set("Content-Type", "application/octet-stream")
+				w.Write(tbl)
+				if !endless {
+					w.Write([]byte("trailing bytes"))
+					return
+				}
+				chunk := make([]byte, 64<<10)
+				for r.Context().Err() == nil {
+					if _, err := w.Write(chunk); err != nil {
+						return
+					}
+				}
+			}
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /v1/fleet/table/{key}", serve)
+			mux.HandleFunc("POST /v1/fleet/table/{key}", serve)
+			stub := httptest.NewUnstartedServer(mux)
+			stubURL := "http://" + stub.Listener.Addr().String()
+
+			real := httptest.NewUnstartedServer(nil)
+			realURL := "http://" + real.Listener.Addr().String()
+			svc := New(Config{
+				Self:              realURL,
+				Peers:             []string{realURL, stubURL},
+				TableDir:          t.TempDir(),
+				FleetTimeout:      2 * time.Second,
+				FleetBuildTimeout: 10 * time.Second,
+			})
+			real.Config.Handler = svc.Handler()
+
+			set := findOwnedSet(t, []string{realURL, stubURL}, stubURL)
+			canon := Canonicalize(set)
+			table, err := exact.BuildTableParallel(canon, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := table.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			tbl = buf.Bytes()
+			inst, err := exact.Analyze(canon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size, err := exact.TableFileSize(inst.Set.Latency, inst.Types, inst.Counts); err != nil || size != int64(len(tbl)) {
+				t.Fatalf("TableFileSize = %d, %v; the stub's valid prefix is %d bytes", size, err, len(tbl))
+			}
+			want, err := exact.OptimalRT(canon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stub.Start()
+			real.Start()
+			t.Cleanup(func() { real.Close(); svc.Close(); stub.Close() })
+
+			resp, body := post(t, realURL+"/v1/compare", CompareRequest{Set: rawSet(t, set), Optimal: true})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("compare: HTTP %d: %s", resp.StatusCode, body)
+			}
+			var cr CompareResponse
+			if err := json.Unmarshal(body, &cr); err != nil {
+				t.Fatal(err)
+			}
+			if cr.Optimal == nil || *cr.Optimal != want {
+				t.Errorf("compare optimal %v, want %d", cr.Optimal, want)
+			}
+			if st := svc.FleetStats(); st.PeerErrors != 1 || st.FallbackBuilds != 1 || st.PeerFetches != 0 || hits.Load() != 1 {
+				t.Errorf("after compare: stats %+v, %d peer requests; want 1 peer error, 1 fallback, 0 fetches, 1 request", st, hits.Load())
+			}
+
+			got := warmTable(t, realURL, set)
+			if got.Fleet != FleetRoleFallback || got.OptimalRT != want {
+				t.Errorf("warm: fleet role %q optimal %d, want fallback with %d", got.Fleet, got.OptimalRT, want)
+			}
+			if st := svc.FleetStats(); st.PeerErrors != 2 || st.FallbackBuilds != 2 || st.PeerFetches != 0 || hits.Load() != 2 {
+				t.Errorf("after warm: stats %+v, %d peer requests; want 2 peer errors, 2 fallbacks, 0 fetches, 2 requests", st, hits.Load())
+			}
+			if svc.TableBuilds() != 1 {
+				t.Errorf("fallback should have built locally once, got %d", svc.TableBuilds())
+			}
+		})
 	}
 }
 

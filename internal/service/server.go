@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bounds"
+	"repro/internal/exact"
 	"repro/internal/lower"
 	"repro/internal/model"
 	"repro/internal/registry"
@@ -77,18 +78,6 @@ type Config struct {
 	// for FleetBreakerCooldown (defaults 3 failures, 5s).
 	FleetBreakerThreshold int
 	FleetBreakerCooldown  time.Duration
-	// FleetFill distributes DP table builds across the fleet: the key's
-	// owner partitions the layered fill into one contiguous band per
-	// replica and delegates bands to peers over POST /v1/fleet/fill/{key}
-	// (see internal/service/fleet_fill.go). Peer failures degrade band by
-	// band to local fills, so the build never gets worse than a plain
-	// owner-side fill. Requires fleet mode (Self).
-	FleetFill bool
-	// FleetFillMinStates is the DP state-space size below which a
-	// fleet-fill owner skips the band protocol and fills locally
-	// (default 16384): shipping a prefix band costs more than filling a
-	// small table.
-	FleetFillMinStates int64
 }
 
 // Server is the hnowd scheduling service: a plan cache over the
@@ -129,17 +118,11 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Self != "" {
 		s.fleet = newFleetState(cfg)
-		if cfg.FleetFill {
-			// Every getOrBuild caller (table warms, fleet build-and-stream,
-			// owner-side misses) inherits the distributed band chain.
-			s.tables.build = s.fleetBuildTable
-		}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/fleet/ring", s.handleFleetRing)
 	s.mux.HandleFunc("GET /v1/fleet/table/{key}", s.handleFleetTableGet)
 	s.mux.HandleFunc("POST /v1/fleet/table/{key}", s.handleFleetTablePost)
-	s.mux.HandleFunc("POST /v1/fleet/fill/{key}", s.handleFleetFill)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	s.mux.HandleFunc("POST /v1/compare", s.handleCompare)
@@ -465,9 +448,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if req.Optimal && s.fleetEnabled() && !fleetForwarded(r) {
 		if opt, ok := s.tables.lookupSetAny(canon); ok {
 			fleetOpt = &opt
-		} else if nkey, err := fleetKeyOf(canon); err == nil {
+		} else if inst, err := exact.Analyze(canon); err == nil {
+			nkey := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
 			if owner, self := s.fleet.route(nkey); !self {
-				opt, outcome := s.fleetOptimal(r.Context(), owner, nkey, canon)
+				opt, outcome := s.fleetOptimal(r.Context(), owner, nkey, inst)
 				switch outcome {
 				case fleetFound:
 					fleetOpt = &opt
